@@ -4,7 +4,6 @@
 #include <map>
 
 #include "dockmine/compress/gzip.h"
-#include "dockmine/digest/sha256.h"
 #include "dockmine/filetype/classifier.h"
 #include "dockmine/mem/arena.h"
 #include "dockmine/obs/obs.h"
@@ -86,17 +85,18 @@ util::Result<LayerProfile> walk_tar(const LayerAnalyzer::Options& options,
       }
     }
     if (visitor != nullptr) {
-      const double classify_start =
-          timing != nullptr ? obs::now_ms() : 0.0;
+      const double digest_start = timing != nullptr ? obs::now_ms() : 0.0;
       FileRecord record;
       record.size = entry.content.size();
       record.digest = digest::Digest::of(entry.content);
+      const double classify_start = timing != nullptr ? obs::now_ms() : 0.0;
       record.type = filetype::classify(
           entry.header.name,
           entry.content.substr(
               0, std::max(options.classify_prefix,
                           static_cast<std::size_t>(262))));
       if (timing != nullptr) {
+        timing->digest_ms += classify_start - digest_start;
         timing->classify_ms += obs::now_ms() - classify_start;
       }
       (*visitor)(entry.header.name, record);
@@ -144,9 +144,9 @@ util::Result<LayerProfile> LayerAnalyzer::analyze_tar(
 }
 
 util::Result<LayerProfile> LayerAnalyzer::analyze_blob(
-    std::string_view gzip_blob, const FileVisitor* visitor,
-    const DirectoryVisitor* dir_visitor, Timing* timing,
-    mem::Arena* scratch) const {
+    std::string_view gzip_blob, const digest::Digest& blob_digest,
+    const FileVisitor* visitor, const DirectoryVisitor* dir_visitor,
+    Timing* timing, mem::Arena* scratch) const {
   const double gunzip_start = timing != nullptr ? obs::now_ms() : 0.0;
   auto tar_bytes =
       compress::gzip_decompress(gzip_blob, options_.max_uncompressed);
@@ -156,7 +156,7 @@ util::Result<LayerProfile> LayerAnalyzer::analyze_blob(
       analyze_tar(tar_bytes.value(), visitor, dir_visitor, timing, scratch);
   if (!profile.ok()) return profile;
   profile.value().cls = gzip_blob.size();
-  profile.value().digest = digest::Digest::of(gzip_blob);
+  profile.value().digest = blob_digest;
   return profile;
 }
 

@@ -8,6 +8,7 @@
 #include <string_view>
 
 #include "dockmine/analyzer/profile.h"
+#include "dockmine/digest/digest.h"
 #include "dockmine/util/error.h"
 
 namespace dockmine::mem {
@@ -42,22 +43,35 @@ class LayerAnalyzer {
   /// is passed (the null path performs no clock reads at all).
   struct Timing {
     double gunzip_ms = 0.0;    ///< decompressing the blob
-    double classify_ms = 0.0;  ///< per-file digest + type classification
+    double digest_ms = 0.0;    ///< per-file SHA-256
+    double classify_ms = 0.0;  ///< per-file type classification
   };
 
   LayerAnalyzer() = default;
   explicit LayerAnalyzer(Options options) : options_(options) {}
 
-  /// Analyze a compressed layer blob. `visitor` (optional) receives every
-  /// regular file. The returned profile's `digest` is the SHA-256 of the
-  /// blob and `cls` its size. `scratch`, when given, backs the per-layer
+  /// Analyze a compressed layer blob whose SHA-256 the caller has already
+  /// verified to be `blob_digest` (the downloader does, for every blob it
+  /// delivers); the blob is not hashed again. `visitor` (optional) receives
+  /// every regular file. The returned profile's `digest` is `blob_digest`
+  /// and `cls` the blob's size. `scratch`, when given, backs the per-layer
   /// directory map (keys interned, nodes bump-allocated) — the caller owns
   /// the arena and must reset() it between layers (DESIGN.md §14); results
   /// are identical with or without it.
   util::Result<LayerProfile> analyze_blob(
-      std::string_view gzip_blob, const FileVisitor* visitor = nullptr,
+      std::string_view gzip_blob, const digest::Digest& blob_digest,
+      const FileVisitor* visitor = nullptr,
       const DirectoryVisitor* dir_visitor = nullptr,
       Timing* timing = nullptr, mem::Arena* scratch = nullptr) const;
+
+  /// As above for a blob of unknown digest: hashes it first.
+  util::Result<LayerProfile> analyze_blob(
+      std::string_view gzip_blob, const FileVisitor* visitor = nullptr,
+      const DirectoryVisitor* dir_visitor = nullptr,
+      Timing* timing = nullptr, mem::Arena* scratch = nullptr) const {
+    return analyze_blob(gzip_blob, digest::Digest::of(gzip_blob), visitor,
+                        dir_visitor, timing, scratch);
+  }
 
   /// Analyze an already-uncompressed tar archive (cls/digest filled by the
   /// caller if known). `dir_visitor`, when given, receives every explicit

@@ -81,18 +81,20 @@ void AnalysisPipeline::Session::analyze(const digest::Digest& digest,
   const double start_ms = timed_ ? obs::now_ms() : 0.0;
   const bool want_files = sink_.on_file || sink_.on_file_concurrent;
   auto profile = analyzer_.analyze_blob(
-      gzip_blob, want_files ? &visitor : nullptr,
+      gzip_blob, digest, want_files ? &visitor : nullptr,
       /*dir_visitor=*/nullptr, timed_ ? &timing : nullptr, &scratch);
   if (timed_) {
     const double total_ms = obs::now_ms() - start_ms;
     metrics.layer_ms.observe(total_ms);
     auto& tracer = obs::Tracer::global();
     tracer.record_at(child_path("gunzip"), timing.gunzip_ms);
+    tracer.record_at(child_path("digest"), timing.digest_ms);
     tracer.record_at(child_path("classify"), timing.classify_ms);
-    // Whatever analyze_blob spent outside gunzip/classify is the tar walk.
-    tracer.record_at(
-        child_path("untar"),
-        std::max(0.0, total_ms - timing.gunzip_ms - timing.classify_ms));
+    // Whatever analyze_blob spent outside gunzip/digest/classify is the
+    // tar walk.
+    tracer.record_at(child_path("untar"),
+                     std::max(0.0, total_ms - timing.gunzip_ms -
+                                       timing.digest_ms - timing.classify_ms));
   }
   if (profile.ok()) {
     metrics.layers.add();

@@ -70,6 +70,8 @@ class AnalysisPipeline {
     Session(const AnalysisPipeline& pipeline, const Sink& sink);
 
     /// Profile one compressed layer blob and deliver layer/file results.
+    /// `gzip_blob` must already be verified to hash to `digest` (the
+    /// downloader verifies every blob it delivers); it is not hashed again.
     /// A digest already profiled in this session is skipped, so re-delivery
     /// (checkpoint replays, retries) cannot double-count.
     void analyze(const digest::Digest& digest, const std::string& gzip_blob);
@@ -104,7 +106,8 @@ class AnalysisPipeline {
   };
 
   /// Analyze all manifests. Unique layers are profiled exactly once, in
-  /// parallel. Returns the profile store (reusable for further queries).
+  /// parallel. `fetch` must return bytes that hash to the requested digest.
+  /// Returns the profile store (reusable for further queries).
   util::Result<ProfileStore> run(const std::vector<registry::Manifest>& manifests,
                                  const BlobFetch& fetch, const Sink& sink) const;
 

@@ -1,34 +1,13 @@
 #include "dockmine/compress/crc32.h"
 
-#include <array>
+#include <zlib.h>
 
 namespace dockmine::compress {
 
-namespace {
-
-constexpr std::array<std::uint32_t, 256> make_table() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t c = i;
-    for (int k = 0; k < 8; ++k) {
-      c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
-    }
-    table[i] = c;
-  }
-  return table;
-}
-
-constexpr auto kTable = make_table();
-
-}  // namespace
-
 void Crc32::update(const void* data, std::size_t size) noexcept {
-  const auto* bytes = static_cast<const std::uint8_t*>(data);
-  std::uint32_t c = state_;
-  for (std::size_t i = 0; i < size; ++i) {
-    c = kTable[(c ^ bytes[i]) & 0xff] ^ (c >> 8);
-  }
-  state_ = c;
+  if (size == 0) return;  // zlib reads a null buffer as "return the seed"
+  state_ = static_cast<std::uint32_t>(
+      crc32_z(state_, static_cast<const Bytef*>(data), size));
 }
 
 }  // namespace dockmine::compress

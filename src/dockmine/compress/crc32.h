@@ -1,7 +1,6 @@
 // CRC-32 (IEEE 802.3, reflected polynomial 0xEDB88320) — the checksum in
-// the gzip member trailer. Implemented from scratch (table-driven) so the
-// gzip framing layer does not depend on zlib's utility functions; zlib is
-// used for DEFLATE only.
+// the gzip member trailer, shard spill runs and wire frames. A thin value
+// type over zlib's crc32_z, which folds many bytes per step instead of one.
 #pragma once
 
 #include <cstddef>
@@ -17,8 +16,8 @@ class Crc32 {
     update(text.data(), text.size());
   }
 
-  std::uint32_t value() const noexcept { return ~state_; }
-  void reset() noexcept { state_ = 0xffffffffu; }
+  std::uint32_t value() const noexcept { return state_; }
+  void reset() noexcept { state_ = 0; }
 
   static std::uint32_t of(std::string_view data) noexcept {
     Crc32 crc;
@@ -27,7 +26,7 @@ class Crc32 {
   }
 
  private:
-  std::uint32_t state_ = 0xffffffffu;
+  std::uint32_t state_ = 0;  ///< zlib's running CRC (already finalized)
 };
 
 }  // namespace dockmine::compress

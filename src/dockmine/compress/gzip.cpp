@@ -2,6 +2,8 @@
 
 #include <zlib.h>
 
+#include <algorithm>
+#include <climits>
 #include <cstring>
 
 #include "dockmine/compress/crc32.h"
@@ -55,37 +57,64 @@ util::Result<std::string> deflate_raw(std::string_view raw, int level) {
   return out;
 }
 
-/// Raw INFLATE with an output cap.
+/// DEFLATE's largest expansion: a 258-byte match coded in two bits.
+constexpr std::uint64_t kMaxInflateRatio = 1032;
+
+/// Raw INFLATE with an output cap, straight into one buffer. The buffer
+/// starts at the trailer's ISIZE plus one byte, so a truthful member ends
+/// with room to spare in a single inflate call. ISIZE is untrusted: the
+/// first size never exceeds `max_output` + 1 or what the body could inflate
+/// to, and a short ISIZE grows the buffer geometrically up to that cap.
 util::Result<std::string> inflate_raw(std::string_view body,
-                                      std::uint64_t max_output) {
+                                      std::uint64_t max_output,
+                                      std::uint32_t isize) {
   z_stream zs{};
   if (inflateInit2(&zs, /*windowBits=*/-15) != Z_OK) {
     return util::internal("inflateInit2 failed");
   }
-  std::string out;
-  std::string chunk(256 * 1024, '\0');
+  // One byte past the cap: filling it proves the stream exceeds the cap.
+  const std::uint64_t limit =
+      max_output == UINT64_MAX ? max_output : max_output + 1;
+  const std::uint64_t body_bound =
+      body.size() > (UINT64_MAX - 1) / kMaxInflateRatio
+          ? UINT64_MAX
+          : body.size() * kMaxInflateRatio + 1;
+  std::string out(static_cast<std::size_t>(std::min(
+                      {std::uint64_t{isize} + 1, limit, body_bound})),
+                  '\0');
+  std::size_t produced = 0;
   zs.next_in = reinterpret_cast<Bytef*>(const_cast<char*>(body.data()));
   zs.avail_in = static_cast<uInt>(body.size());
-  int rc = Z_OK;
-  while (rc != Z_STREAM_END) {
-    zs.next_out = reinterpret_cast<Bytef*>(chunk.data());
-    zs.avail_out = static_cast<uInt>(chunk.size());
-    rc = inflate(&zs, Z_NO_FLUSH);
-    if (rc != Z_OK && rc != Z_STREAM_END) {
+  for (;;) {
+    if (produced == out.size()) {
+      if (out.size() >= limit) {
+        inflateEnd(&zs);
+        return util::out_of_range("decompressed size exceeds cap");
+      }
+      out.resize(static_cast<std::size_t>(std::min<std::uint64_t>(
+          limit, std::max<std::uint64_t>(2 * out.size(), 64 * 1024))));
+    }
+    const std::size_t room =
+        std::min<std::size_t>(out.size() - produced, UINT_MAX);
+    zs.next_out = reinterpret_cast<Bytef*>(out.data() + produced);
+    zs.avail_out = static_cast<uInt>(room);
+    const int rc = inflate(&zs, Z_NO_FLUSH);
+    produced += room - zs.avail_out;
+    if (rc == Z_STREAM_END) break;
+    if (rc != Z_OK) {
       inflateEnd(&zs);
       return util::corrupt("inflate failed (rc=" + std::to_string(rc) + ")");
     }
-    out.append(chunk.data(), chunk.size() - zs.avail_out);
-    if (out.size() > max_output) {
-      inflateEnd(&zs);
-      return util::out_of_range("decompressed size exceeds cap");
-    }
-    if (rc == Z_OK && zs.avail_in == 0 && zs.avail_out != 0) {
+    if (zs.avail_in == 0 && zs.avail_out != 0) {
       inflateEnd(&zs);
       return util::corrupt("truncated deflate stream");
     }
   }
   inflateEnd(&zs);
+  if (produced > max_output) {
+    return util::out_of_range("decompressed size exceeds cap");
+  }
+  out.resize(produced);
   return out;
 }
 
@@ -162,13 +191,13 @@ util::Result<std::string> gzip_decompress(std::string_view member,
   if (member.size() < header + 8) return util::corrupt("gzip member too short");
   const std::string_view body =
       member.substr(header, member.size() - header - 8);
-  auto raw = inflate_raw(body, max_output);
-  if (!raw.ok()) return raw;
-
   const auto* trailer = reinterpret_cast<const unsigned char*>(
       member.data() + member.size() - 8);
   const std::uint32_t want_crc = get_le32(trailer);
   const std::uint32_t want_isize = get_le32(trailer + 4);
+  auto raw = inflate_raw(body, max_output, want_isize);
+  if (!raw.ok()) return raw;
+
   if (Crc32::of(raw.value()) != want_crc) {
     return util::corrupt("gzip CRC mismatch");
   }

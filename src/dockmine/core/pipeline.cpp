@@ -83,7 +83,14 @@ util::Status execute_staged(const PipelineOptions& options,
         [&](const digest::Digest& digest) -> util::Result<blob::BlobPtr> {
           auto it = blobs.find(digest);
           if (it != blobs.end() && it->second != nullptr) return it->second;
-          return source.fetch_blob(digest);
+          // The analyzer trusts the digest it is handed; bytes from outside
+          // the downloader are verified here instead.
+          auto blob = source.fetch_blob(digest);
+          if (blob.ok() && digest::Digest::of(*blob.value()) != digest) {
+            return util::corrupt("digest mismatch for layer " +
+                                 digest.short_hex());
+          }
+          return blob;
         },
         sink);
     if (!store.ok()) return std::move(store).error();

@@ -1,12 +1,19 @@
 #include "dockmine/digest/sha256.h"
 
+#include <algorithm>
 #include <cstring>
+
+#include "dockmine/digest/sha256_blocks.h"
+
+#if defined(DOCKMINE_SHA256_SHANI)
+#include <immintrin.h>
+#endif
 
 namespace dockmine::digest {
 
 namespace {
 
-constexpr std::uint32_t kK[64] = {
+alignas(16) constexpr std::uint32_t kK[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
     0x72be5d74, 0x80deb1fe, 0x9bdc06a7, 0xc19bf174, 0xe49b69c1, 0xefbe4786,
@@ -25,6 +32,141 @@ constexpr std::uint32_t rotr(std::uint32_t x, int n) noexcept {
 
 }  // namespace
 
+namespace detail {
+
+void sha256_blocks_portable(std::uint32_t state[8], const std::uint8_t* data,
+                            std::size_t blocks) noexcept {
+  for (; blocks > 0; --blocks, data += 64) {
+    std::uint32_t w[64];
+    for (int i = 0; i < 16; ++i) {
+      w[i] = (static_cast<std::uint32_t>(data[4 * i]) << 24) |
+             (static_cast<std::uint32_t>(data[4 * i + 1]) << 16) |
+             (static_cast<std::uint32_t>(data[4 * i + 2]) << 8) |
+             static_cast<std::uint32_t>(data[4 * i + 3]);
+    }
+    for (int i = 16; i < 64; ++i) {
+      const std::uint32_t s0 =
+          rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
+      const std::uint32_t s1 =
+          rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
+      w[i] = w[i - 16] + s0 + w[i - 7] + s1;
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    std::uint32_t e = state[4], f = state[5], g = state[6], h = state[7];
+    for (int i = 0; i < 64; ++i) {
+      const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
+      const std::uint32_t ch = (e & f) ^ (~e & g);
+      const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
+      const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
+      const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
+      const std::uint32_t temp2 = s0 + maj;
+      h = g;
+      g = f;
+      f = e;
+      e = d + temp1;
+      d = c;
+      c = b;
+      b = a;
+      a = temp1 + temp2;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+    state[4] += e;
+    state[5] += f;
+    state[6] += g;
+    state[7] += h;
+  }
+}
+
+#if defined(DOCKMINE_SHA256_SHANI)
+
+// The SHA extensions hold the state as two vectors of four words, ABEF and
+// CDGH. One sha256rnds2 runs two rounds, so each group of four rounds is
+// two calls over the same four schedule words plus constants; msg1/msg2
+// extend the message schedule four words at a time, ahead of their use.
+__attribute__((target("sha,sse4.1"))) void sha256_blocks_shani(
+    std::uint32_t state[8], const std::uint8_t* data,
+    std::size_t blocks) noexcept {
+  const __m128i byte_swap =
+      _mm_set_epi64x(0x0c0d0e0f08090a0bLL, 0x0405060700010203LL);
+  const __m128i dcba =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state));
+  const __m128i hgfe =
+      _mm_loadu_si128(reinterpret_cast<const __m128i*>(state + 4));
+  const __m128i cdab = _mm_shuffle_epi32(dcba, 0xb1);
+  const __m128i efgh = _mm_shuffle_epi32(hgfe, 0x1b);
+  __m128i abef = _mm_alignr_epi8(cdab, efgh, 8);
+  __m128i cdgh = _mm_blend_epi16(efgh, cdab, 0xf0);
+
+  for (; blocks > 0; --blocks, data += 64) {
+    const __m128i abef_in = abef;
+    const __m128i cdgh_in = cdgh;
+    __m128i msg[4];
+#pragma GCC unroll 16
+    for (int group = 0; group < 16; ++group) {
+      __m128i& cur = msg[group % 4];
+      if (group < 4) {
+        cur = _mm_shuffle_epi8(
+            _mm_loadu_si128(
+                reinterpret_cast<const __m128i*>(data + 16 * group)),
+            byte_swap);
+      }
+      __m128i wk = _mm_add_epi32(
+          cur, _mm_load_si128(reinterpret_cast<const __m128i*>(kK + 4 * group)));
+      cdgh = _mm_sha256rnds2_epu32(cdgh, abef, wk);
+      if (group >= 3 && group <= 14) {
+        // Finish the next group's words: add W[t-7..t-4], then msg2. The
+        // previous group's words are read before msg1 overwrites them.
+        __m128i& next = msg[(group + 1) % 4];
+        next = _mm_add_epi32(next,
+                             _mm_alignr_epi8(cur, msg[(group + 3) % 4], 4));
+        next = _mm_sha256msg2_epu32(next, cur);
+      }
+      wk = _mm_shuffle_epi32(wk, 0x0e);
+      abef = _mm_sha256rnds2_epu32(abef, cdgh, wk);
+      if (group >= 1 && group <= 12) {
+        __m128i& prev = msg[(group + 3) % 4];
+        prev = _mm_sha256msg1_epu32(prev, cur);
+      }
+    }
+    abef = _mm_add_epi32(abef, abef_in);
+    cdgh = _mm_add_epi32(cdgh, cdgh_in);
+  }
+
+  const __m128i feba = _mm_shuffle_epi32(abef, 0x1b);
+  const __m128i dchg = _mm_shuffle_epi32(cdgh, 0xb1);
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state),
+                   _mm_blend_epi16(feba, dchg, 0xf0));
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(state + 4),
+                   _mm_alignr_epi8(dchg, feba, 8));
+}
+
+bool sha256_shani_supported() noexcept {
+  __builtin_cpu_init();
+  return __builtin_cpu_supports("sha") && __builtin_cpu_supports("sse4.1");
+}
+
+#else
+
+bool sha256_shani_supported() noexcept { return false; }
+
+#endif
+
+Sha256BlockFn sha256_blocks() noexcept {
+#if defined(DOCKMINE_SHA256_SHANI)
+  static const Sha256BlockFn chosen = sha256_shani_supported()
+                                          ? sha256_blocks_shani
+                                          : sha256_blocks_portable;
+  return chosen;
+#else
+  return sha256_blocks_portable;
+#endif
+}
+
+}  // namespace detail
+
 void Sha256::reset() noexcept {
   state_[0] = 0x6a09e667;
   state_[1] = 0xbb67ae85;
@@ -38,51 +180,9 @@ void Sha256::reset() noexcept {
   buffered_ = 0;
 }
 
-void Sha256::process_block(const std::uint8_t* block) noexcept {
-  std::uint32_t w[64];
-  for (int i = 0; i < 16; ++i) {
-    w[i] = (static_cast<std::uint32_t>(block[4 * i]) << 24) |
-           (static_cast<std::uint32_t>(block[4 * i + 1]) << 16) |
-           (static_cast<std::uint32_t>(block[4 * i + 2]) << 8) |
-           static_cast<std::uint32_t>(block[4 * i + 3]);
-  }
-  for (int i = 16; i < 64; ++i) {
-    const std::uint32_t s0 =
-        rotr(w[i - 15], 7) ^ rotr(w[i - 15], 18) ^ (w[i - 15] >> 3);
-    const std::uint32_t s1 =
-        rotr(w[i - 2], 17) ^ rotr(w[i - 2], 19) ^ (w[i - 2] >> 10);
-    w[i] = w[i - 16] + s0 + w[i - 7] + s1;
-  }
-  std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  std::uint32_t e = state_[4], f = state_[5], g = state_[6], h = state_[7];
-  for (int i = 0; i < 64; ++i) {
-    const std::uint32_t s1 = rotr(e, 6) ^ rotr(e, 11) ^ rotr(e, 25);
-    const std::uint32_t ch = (e & f) ^ (~e & g);
-    const std::uint32_t temp1 = h + s1 + ch + kK[i] + w[i];
-    const std::uint32_t s0 = rotr(a, 2) ^ rotr(a, 13) ^ rotr(a, 22);
-    const std::uint32_t maj = (a & b) ^ (a & c) ^ (b & c);
-    const std::uint32_t temp2 = s0 + maj;
-    h = g;
-    g = f;
-    f = e;
-    e = d + temp1;
-    d = c;
-    c = b;
-    b = a;
-    a = temp1 + temp2;
-  }
-  state_[0] += a;
-  state_[1] += b;
-  state_[2] += c;
-  state_[3] += d;
-  state_[4] += e;
-  state_[5] += f;
-  state_[6] += g;
-  state_[7] += h;
-}
-
 void Sha256::update(const void* data, std::size_t size) noexcept {
   const auto* bytes = static_cast<const std::uint8_t*>(data);
+  const detail::Sha256BlockFn blocks = detail::sha256_blocks();
   total_bytes_ += size;
   if (buffered_ > 0) {
     const std::size_t take = std::min(size, sizeof buffer_ - buffered_);
@@ -90,15 +190,15 @@ void Sha256::update(const void* data, std::size_t size) noexcept {
     buffered_ += take;
     bytes += take;
     size -= take;
-    if (buffered_ == sizeof buffer_) {
-      process_block(buffer_);
-      buffered_ = 0;
-    }
+    if (buffered_ < sizeof buffer_) return;
+    blocks(state_, buffer_, 1);
+    buffered_ = 0;
   }
-  while (size >= sizeof buffer_) {
-    process_block(bytes);
-    bytes += sizeof buffer_;
-    size -= sizeof buffer_;
+  const std::size_t whole = size / sizeof buffer_;
+  if (whole > 0) {
+    blocks(state_, bytes, whole);
+    bytes += whole * sizeof buffer_;
+    size -= whole * sizeof buffer_;
   }
   if (size > 0) {
     std::memcpy(buffer_, bytes, size);
@@ -107,18 +207,21 @@ void Sha256::update(const void* data, std::size_t size) noexcept {
 }
 
 Sha256::Bytes Sha256::finish() noexcept {
+  const detail::Sha256BlockFn blocks = detail::sha256_blocks();
   const std::uint64_t bit_len = total_bytes_ * 8;
-  const std::uint8_t pad = 0x80;
-  update(&pad, 1);
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(&zero, 1);
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  // Pad in place: 0x80, zeros up to byte 56 of a block (spilling into a
+  // second block when fewer than 8 bytes remain), then the bit length.
+  buffer_[buffered_++] = 0x80;
+  if (buffered_ > 56) {
+    std::memset(buffer_ + buffered_, 0, sizeof buffer_ - buffered_);
+    blocks(state_, buffer_, 1);
+    buffered_ = 0;
   }
-  // Bypass total accounting for the trailer by writing directly.
-  std::memcpy(buffer_ + buffered_, len_be, 8);
-  process_block(buffer_);
+  std::memset(buffer_ + buffered_, 0, 56 - buffered_);
+  for (int i = 0; i < 8; ++i) {
+    buffer_[56 + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
+  }
+  blocks(state_, buffer_, 1);
   buffered_ = 0;
   Bytes out;
   for (int i = 0; i < 8; ++i) {

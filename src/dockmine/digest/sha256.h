@@ -1,7 +1,9 @@
-// SHA-256 (FIPS 180-4), implemented from scratch. Docker addresses every
-// blob and layer by its sha256 digest; the registry, blob store, and
-// file-level dedup all hash through this type. Incremental interface so tar
-// streams can be hashed without buffering.
+// SHA-256 (FIPS 180-4). Docker addresses every blob and layer by its
+// sha256 digest; the registry, blob store, and file-level dedup all hash
+// through this type. Incremental interface so tar streams can be hashed
+// without buffering. Runs of whole 64-byte blocks go to one compression
+// kernel picked from CPUID once per process: the x86 SHA extensions where
+// the CPU has them, a portable loop elsewhere (sha256_blocks.h).
 #pragma once
 
 #include <array>
@@ -36,8 +38,6 @@ class Sha256 {
   }
 
  private:
-  void process_block(const std::uint8_t* block) noexcept;
-
   std::uint32_t state_[8];
   std::uint64_t total_bytes_;
   std::uint8_t buffer_[64];

@@ -110,6 +110,10 @@ util::Result<blob::BlobPtr> Checkpoint::layer(
     const digest::Digest& digest) const {
   auto content = store_.get(digest);
   if (!content.ok()) return std::move(content).error();
+  if (digest::Digest::of(content.value()) != digest) {
+    return util::corrupt("checkpointed layer " + digest.short_hex() +
+                         " does not match its digest");
+  }
   return std::make_shared<const std::string>(std::move(content).value());
 }
 

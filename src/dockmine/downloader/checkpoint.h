@@ -49,8 +49,9 @@ class Checkpoint {
   util::Status mark_repo_done(const std::string& name);
 
   bool has_layer(const digest::Digest& digest) const;
-  /// Bytes of a checkpointed layer (they were digest-verified before being
-  /// admitted, so readers may trust them).
+  /// Bytes of a checkpointed layer, hashed again on the way out: a copy
+  /// that no longer matches `digest` (bit rot, a torn disk) is `corrupt`,
+  /// so callers may trust what this returns and re-fetch otherwise.
   util::Result<blob::BlobPtr> layer(const digest::Digest& digest) const;
   /// Persist a verified layer: bytes first, journal line second.
   util::Status put_layer(const digest::Digest& digest,

@@ -48,8 +48,8 @@ struct DownloaderMetrics {
 util::Result<blob::BlobPtr> Downloader::acquire_layer(
     const digest::Digest& digest) {
   DownloaderMetrics& metrics = DownloaderMetrics::get();
-  // Checkpointed layers were verified before being admitted; reloading them
-  // costs disk I/O, not registry traffic.
+  // Checkpointed layers are re-verified as they are reloaded; reloading
+  // costs disk I/O and a hash, not registry traffic.
   if (options_.checkpoint != nullptr && options_.checkpoint->has_layer(digest)) {
     auto restored = options_.checkpoint->layer(digest);
     if (restored.ok()) {
@@ -57,15 +57,14 @@ util::Result<blob::BlobPtr> Downloader::acquire_layer(
       metrics.layers_resumed.add();
       return restored;
     }
-    // Checkpoint store unreadable: fall through to a normal transfer.
+    // Checkpoint copy unreadable or corrupt: fall through to a transfer.
   }
 
   const obs::Timer timer;
   for (int transfer = 1;; ++transfer) {
     auto blob = service_.fetch_blob(digest);
     if (!blob.ok()) return blob;
-    if (options_.verify_digests &&
-        digest::Digest::of(*blob.value()) != digest) {
+    if (digest::Digest::of(*blob.value()) != digest) {
       // Truncated or bit-flipped in flight. One silent re-fetch, as the
       // paper's downloader did; a second mismatch means the upstream copy
       // itself is bad and retrying cannot help.

@@ -42,10 +42,6 @@ struct Options {
   std::string tag = "latest";
   bool authenticated = false;       ///< present a token (disables 401s)
   bool dedup_unique_layers = true;  ///< skip layers fetched earlier
-  /// Verify each fetched blob hashes to its manifest digest; one silent
-  /// re-fetch on mismatch. Registry blobs are content-addressed, so this is
-  /// on by default; turn off only for sources serving synthetic digests.
-  bool verify_digests = true;
   /// Optional crash/resume record; not owned, must outlive the run.
   Checkpoint* checkpoint = nullptr;
   /// Keep each unique layer's bytes in the run-wide cache and deliver them

@@ -41,7 +41,7 @@ util::Result<blob::BlobPtr> DeltaAnalyzer::fetch_blob(
   if (options_.checkpoint != nullptr && options_.checkpoint->has_layer(digest)) {
     auto resumed = options_.checkpoint->layer(digest);
     if (resumed.ok()) {
-      // Checkpointed bytes were digest-verified before admission.
+      // Checkpoint::layer re-verified the bytes against the digest.
       ++delta.layers_resumed;
       ++download_.layers_resumed;
       return resumed;
@@ -163,7 +163,8 @@ util::Result<EpochDelta> DeltaAnalyzer::apply_epoch(
             entry.entry.first_layer = layer_index;
             records.push_back(entry);
           };
-      auto profile = analyzer_.analyze_blob(*blob.value(), &visitor);
+      auto profile =
+          analyzer_.analyze_blob(*blob.value(), ref.digest, &visitor);
       if (!profile.ok()) return std::move(profile).error();
       layer.profile = profile.value();
       layer.file_instances = records.size();

@@ -27,6 +27,44 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   EXPECT_EQ(crc.value(), 0x414fa339u);
 }
 
+TEST(Crc32Test, MatchesBytewiseReferenceAtEveryLengthAndAlignment) {
+  // The textbook bit-at-a-time CRC, as the independent reference.
+  auto step = [](std::uint32_t c, unsigned char byte) {
+    c ^= byte;
+    for (int k = 0; k < 8; ++k) c = (c & 1) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+    return c;
+  };
+  util::Rng rng(0xc3c32);
+  std::string buffer(4096 + 8, '\0');
+  for (char& c : buffer) c = static_cast<char>(rng());
+  for (std::size_t offset = 0; offset < 8; ++offset) {
+    std::uint32_t reference = 0xffffffffu;
+    for (std::size_t len = 0; len <= 4096; ++len) {
+      const std::string_view data(buffer.data() + offset, len);
+      ASSERT_EQ(Crc32::of(data), ~reference)
+          << "offset=" << offset << " len=" << len;
+      reference = step(reference, static_cast<unsigned char>(data.data()[len]));
+    }
+  }
+  // Incremental updates over unaligned pieces agree with one shot.
+  const std::string_view whole(buffer.data() + 3, 4096);
+  Crc32 crc;
+  for (std::size_t pos = 0, piece = 1; pos < whole.size(); pos += piece++) {
+    crc.update(whole.substr(pos, piece));
+  }
+  EXPECT_EQ(crc.value(), Crc32::of(whole));
+}
+
+TEST(Crc32Test, EmptyAndNullUpdatesLeaveTheValue) {
+  Crc32 crc;
+  crc.update("123456789");
+  crc.update(std::string_view{});
+  crc.update(nullptr, 0);
+  EXPECT_EQ(crc.value(), 0xcbf43926u);
+  crc.reset();
+  EXPECT_EQ(crc.value(), 0u);
+}
+
 // ---------- gzip ----------
 
 TEST(GzipTest, RoundTripsText) {

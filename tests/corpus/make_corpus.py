@@ -57,6 +57,41 @@ def bad_crc_gzip_member():
     return bytes(whole)
 
 
+def with_isize(member, isize):
+    """The same member with its ISIZE trailer field replaced."""
+    return member[:-4] + struct.pack("<I", isize & 0xFFFFFFFF)
+
+
+def layer_text(size):
+    """Deterministic, moderately compressible text of exactly `size` bytes."""
+    lines = b"".join(b"usr/lib/file-%06d.so mode=0644\n" % i
+                     for i in range(size // 16 + 1))
+    return lines[:size]
+
+
+def isize_small_gzip_member():
+    """300000 bytes that claim an ISIZE of 100: the decoder's output buffer
+    must grow well past its first size, then reject the ISIZE."""
+    return with_isize(gzip_bytes(layer_text(300000)), 100)
+
+
+def isize_large_gzip_member():
+    """4096 bytes that claim ISIZE 0xFFFFFFFF: decoding must not size its
+    buffer from the claim, and the mismatch is rejected."""
+    return with_isize(gzip_bytes(layer_text(4096)), 0xFFFFFFFF)
+
+
+def isize_over_cap_gzip_member():
+    """20000 bytes that claim 2^31 - 1: replayed with caps on both sides of
+    20000 (fits, then ISIZE rejects; over, then the cap rejects)."""
+    return with_isize(gzip_bytes(layer_text(20000)), 0x7FFFFFFF)
+
+
+def isize_zero_gzip_member():
+    """70000 bytes that claim ISIZE 0 (a claim of an empty layer)."""
+    return with_isize(gzip_bytes(layer_text(70000)), 0)
+
+
 def torn_longname_tar():
     """A GNU long-name ('L') header whose payload is cut mid-name.
 
@@ -247,6 +282,11 @@ def bitflipped_serve_metrics_request():
 CORPUS = {
     "gzip_truncated_member.bin": truncated_gzip_member,
     "gzip_bad_crc.bin": bad_crc_gzip_member,
+    # Members whose ISIZE trailer lies (the decoder presizes from it).
+    "gzip_isize_small.bin": isize_small_gzip_member,
+    "gzip_isize_large.bin": isize_large_gzip_member,
+    "gzip_isize_over_cap.bin": isize_over_cap_gzip_member,
+    "gzip_isize_zero.bin": isize_zero_gzip_member,
     "tar_torn_longname.bin": torn_longname_tar,
     "tar_zero_length_ustar.bin": zero_length_ustar_entry,
     "tar_whiteout_edges.bin": whiteout_edges_tar,

@@ -161,6 +161,66 @@ TEST(CorpusTest, BadCrcGzipMemberIsRejected) {
   EXPECT_FALSE(compress::gzip_decompress(blob).ok());
 }
 
+/// "ok <size>" or "<error code> <message>" for one decode of `blob`.
+std::string gunzip_outcome(const std::string& blob,
+                           std::uint64_t cap = 1ULL << 34) {
+  auto result = compress::gzip_decompress(blob, cap);
+  if (result.ok()) return "ok " + std::to_string(result.value().size());
+  return std::to_string(static_cast<int>(result.error().code())) + " " +
+         result.error().message();
+}
+
+/// `blob` with its ISIZE trailer set to `isize`.
+std::string with_isize(std::string blob, std::uint32_t isize) {
+  for (int i = 0; i < 4; ++i) {
+    blob[blob.size() - 4 + i] = static_cast<char>(isize >> (8 * i));
+  }
+  return blob;
+}
+
+// Members whose ISIZE lies. The decoder sizes its output from ISIZE, so each
+// must still decode in full and then be rejected by the trailer check (or by
+// the cap), exactly as before it presized; with the trailer repaired, the
+// same body decodes.
+TEST(CorpusTest, GzipMembersWithAWrongIsizeAreRejectedByTheTrailer) {
+  const std::string mismatch =
+      std::to_string(static_cast<int>(util::ErrorCode::kCorrupt)) +
+      " gzip ISIZE mismatch";
+  const std::pair<const char*, std::uint32_t> members[] = {
+      {"gzip_isize_small.bin", 300000},
+      {"gzip_isize_large.bin", 4096},
+      {"gzip_isize_over_cap.bin", 20000},
+      {"gzip_isize_zero.bin", 70000}};
+  for (const auto& [name, true_size] : members) {
+    const std::string blob = read_corpus(name);
+    ASSERT_FALSE(blob.empty()) << name;
+    EXPECT_EQ(gunzip_outcome(blob), mismatch) << name;
+    EXPECT_EQ(gunzip_outcome(blob), mismatch) << name;  // deterministic
+    EXPECT_EQ(gunzip_outcome(blob, true_size), mismatch) << name;
+    EXPECT_EQ(gunzip_outcome(with_isize(blob, true_size)),
+              "ok " + std::to_string(true_size))
+        << name;
+  }
+}
+
+TEST(CorpusTest, GzipIsizeBeyondTheCapLetsTheCapDecide) {
+  const std::string blob = read_corpus("gzip_isize_over_cap.bin");
+  ASSERT_FALSE(blob.empty());
+  const std::string over_cap =
+      std::to_string(static_cast<int>(util::ErrorCode::kOutOfRange)) +
+      " decompressed size exceeds cap";
+  // The body inflates to 20000 bytes; ISIZE claims 2^31 - 1.
+  EXPECT_EQ(gunzip_outcome(blob, 19999), over_cap);
+  EXPECT_EQ(gunzip_outcome(blob, 1), over_cap);
+  EXPECT_EQ(gunzip_outcome(blob, 0), over_cap);
+  const std::string repaired = with_isize(blob, 20000);
+  EXPECT_EQ(gunzip_outcome(repaired, 19999), over_cap);
+  EXPECT_EQ(gunzip_outcome(repaired, 20000), "ok 20000");
+  // The short-ISIZE member grows past its first buffer into the cap.
+  EXPECT_EQ(gunzip_outcome(read_corpus("gzip_isize_small.bin"), 299999),
+            over_cap);
+}
+
 TEST(CorpusTest, TornGnuLongNameHeaderTerminates) {
   const std::string archive = read_corpus("tar_torn_longname.bin");
   ASSERT_FALSE(archive.empty());

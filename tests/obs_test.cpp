@@ -219,9 +219,12 @@ TEST(ObsSpanTest, NestingBuildsSlashPathsOnVirtualClock) {
 // ---------- determinism ----------
 
 std::string instrumented_pipeline_dump() {
-  obs::reset_all();
+  // The virtual clock goes in before reset_all() and stays until after
+  // collect(), so the synthesized uptime gauge counts clock reads, not real
+  // seconds, and is compared like every other series.
   auto tick = std::make_shared<std::atomic<double>>(0.0);
   obs::set_clock([tick] { return tick->fetch_add(1.0); });
+  obs::reset_all();
   obs::set_enabled(true);
 
   core::PipelineOptions options;
@@ -234,9 +237,10 @@ std::string instrumented_pipeline_dump() {
   options.gzip_level = 1;
   auto run = core::run_end_to_end(options);
   obs::set_enabled(false);
+  const std::string dump = obs::to_json(obs::collect()).dump();
   obs::reset_clock();
   EXPECT_TRUE(run.ok());
-  return obs::to_json(obs::collect()).dump();
+  return dump;
 }
 
 TEST(ObsDeterminismTest, SameSeedPipelineReportsIdenticalMetrics) {
@@ -247,6 +251,7 @@ TEST(ObsDeterminismTest, SameSeedPipelineReportsIdenticalMetrics) {
     EXPECT_NE(first.find("dockmine_download_layers_total"),
               std::string::npos);
     EXPECT_NE(first.find("dockmine_crawler_pages_total"), std::string::npos);
+    EXPECT_NE(first.find("pipeline/analyze/digest"), std::string::npos);
     EXPECT_NE(first.find("pipeline/analyze/classify"), std::string::npos);
     EXPECT_NE(first.find("pipeline/dedup"), std::string::npos);
   }

@@ -5,6 +5,7 @@
 // the fault-free outcome, delivering zero corrupt bytes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -14,6 +15,7 @@
 #include <thread>
 
 #include "dockmine/blob/disk_store.h"
+#include "dockmine/core/pipeline.h"
 #include "dockmine/core/report.h"
 #include "dockmine/crawler/crawler.h"
 #include "dockmine/downloader/downloader.h"
@@ -622,6 +624,71 @@ TEST(CheckpointTest, DoubleResumeAfterTwoCrashesAccountsEveryRepo) {
       fx.service.stats().blob_requests - blob_requests_before;
   EXPECT_EQ(blob_requests_made, phase3.layers_fetched);
   EXPECT_GT(phase3.layers_resumed, 0u);
+}
+
+TEST(CheckpointTest, BitRottedCheckpointBlobIsRefetchedNotAnalyzed) {
+  // The analyzer trusts the digest a blob is delivered under, so a layer
+  // reloaded from the checkpoint must be verified as it is read back.
+  const synth::Scale scale{40, 4242};
+  synth::HubModel hub(synth::Calibration::light(), scale);
+  registry::Service service;
+  ASSERT_TRUE(synth::Materializer(hub, /*gzip_level=*/1).populate(service).ok());
+  auto run = [&](downloader::Checkpoint* checkpoint) {
+    core::PipelineOptions options;
+    options.calibration = synth::Calibration::light();
+    options.scale = scale;
+    options.external_service = &service;
+    options.checkpoint = checkpoint;
+    auto result = core::run_end_to_end(options);
+    EXPECT_TRUE(result.ok());
+    return std::move(result).value();
+  };
+  const std::string uninterrupted =
+      core::analysis_report_json(run(nullptr)).dump();
+
+  TempDir clean("dockmine_resilience_rot_clean");
+  TempDir rotted("dockmine_resilience_rot_flipped");
+  {
+    auto checkpoint = downloader::Checkpoint::open(clean.path);
+    ASSERT_TRUE(checkpoint.ok());
+    (void)run(&checkpoint.value());
+  }
+  std::filesystem::copy(clean.path, rotted.path,
+                        std::filesystem::copy_options::recursive);
+  // Flip one byte in the middle of one checkpointed blob.
+  std::vector<std::filesystem::path> blobs;
+  for (const auto& entry :
+       std::filesystem::recursive_directory_iterator(rotted.path / "blobs")) {
+    if (entry.is_regular_file()) blobs.push_back(entry.path());
+  }
+  ASSERT_FALSE(blobs.empty());
+  std::sort(blobs.begin(), blobs.end());
+  {
+    std::fstream file(blobs.front(),
+                      std::ios::binary | std::ios::in | std::ios::out);
+    const auto middle =
+        static_cast<std::streamoff>(std::filesystem::file_size(blobs.front()) / 2);
+    file.seekg(middle);
+    const char byte = static_cast<char>(file.get());
+    file.seekp(middle);
+    file.put(static_cast<char>(byte ^ 0x20));
+    ASSERT_TRUE(file.good());
+  }
+
+  auto resume = [&](const std::filesystem::path& dir) {
+    auto checkpoint = downloader::Checkpoint::open(dir);
+    EXPECT_TRUE(checkpoint.ok());
+    return run(&checkpoint.value());
+  };
+  const core::PipelineResult from_clean = resume(clean.path);
+  const core::PipelineResult from_rotted = resume(rotted.path);
+  EXPECT_GT(from_clean.download.layers_resumed, 1u);
+  EXPECT_EQ(from_rotted.download.layers_resumed + 1,
+            from_clean.download.layers_resumed);
+  EXPECT_EQ(from_rotted.download.layers_fetched,
+            from_clean.download.layers_fetched + 1);
+  EXPECT_EQ(core::analysis_report_json(from_clean).dump(), uninterrupted);
+  EXPECT_EQ(core::analysis_report_json(from_rotted).dump(), uninterrupted);
 }
 
 // ---------- crawler retries ----------
